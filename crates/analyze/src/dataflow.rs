@@ -8,9 +8,9 @@
 //! per-instruction facts into a [`SiteFacts`] bitmap:
 //!
 //! - **divisor nonzero** — a `Div`/`Mod` whose divisor interval excludes
-//!   zero may skip its zero guard;
+//!   zero can never fire its zero guard;
 //! - **index in bounds** — an array access whose index interval fits
-//!   `[0, len)` may skip its bounds guard;
+//!   `[0, len)` can never fire its bounds guard;
 //! - **branch never/always taken** — a conditional whose condition
 //!   interval is decided ([`DiagCode::BranchNeverTaken`] /
 //!   [`DiagCode::BranchAlwaysTaken`]), which in turn proves code
@@ -31,8 +31,8 @@
 //! preconditions. Every assumption is still guarded defensively — an
 //! inconsistency aborts the region with no facts rather than panicking.
 //! Soundness of the published bitmap is closed dynamically by the
-//! conformance auditor, which evaluates every elided guard and reports a
-//! firing as a divergence.
+//! auditor ([`dir::exec::run_audit_with`]), which runs the program checked
+//! and reports a trap at any site the bitmap claims cannot trap.
 
 use std::collections::BTreeMap;
 

@@ -1,24 +1,22 @@
-//! Per-site check-elision facts proved by static analysis.
+//! Per-site check facts proved by static analysis.
 //!
 //! [`SiteFacts`] is a pair of bitmaps over DIR addresses recording which
 //! individual dynamic checks a static pass has discharged: a set `div_ok`
 //! bit at address `a` means the divisor consumed by the instruction at `a`
 //! was proved nonzero on every reachable path, and a set `idx_ok` bit means
-//! the array index consumed at `a` was proved within `[0, len)`. Executors
-//! consult the bitmap per instruction and skip just that one guard, even
-//! when the whole-image trusted mode is unavailable — the fine-grained
-//! counterpart of the all-or-nothing verification witness.
+//! the array index consumed at `a` was proved within `[0, len)`. No
+//! executor skips a check on the strength of a bit: every level runs one
+//! checked path. The bitmap is a reported analysis result.
 //!
 //! Soundness is the *producer's* obligation (the analyze crate's dataflow
-//! plane). The conformance auditor closes the loop dynamically: it re-runs
-//! every elided site with the guard still evaluated and treats a firing
-//! guard as a soundness divergence.
+//! plane). The auditor ([`crate::exec::run_audit_with`]) closes the loop
+//! dynamically: it runs the program checked and treats a trap at a site
+//! whose bit claims that check cannot fire as a soundness divergence.
 
-/// Bitmaps of per-address check-elision facts for one DIR program.
+/// Bitmaps of per-address check facts for one DIR program.
 ///
 /// Addresses outside the recorded code length report `false` for every
-/// fact, so a stale or truncated bitmap degrades to checked execution
-/// rather than eliding anything.
+/// fact, so a stale or truncated bitmap claims nothing about them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SiteFacts {
     /// Length of the code array the facts were computed for.
@@ -31,7 +29,7 @@ pub struct SiteFacts {
 
 impl SiteFacts {
     /// Creates an all-false fact map for a program of `code_len`
-    /// instructions (every check stays enabled).
+    /// instructions (no check is claimed safe).
     #[must_use]
     pub fn empty(code_len: u32) -> Self {
         let words = (code_len as usize).div_ceil(64);
@@ -48,7 +46,7 @@ impl SiteFacts {
         self.code_len
     }
 
-    /// True when no fact bit is set (pure checked execution).
+    /// True when no fact bit is set.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.div_count() == 0 && self.idx_count() == 0
@@ -70,7 +68,7 @@ impl SiteFacts {
         }
     }
 
-    /// True when the divide/remainder at `addr` may skip its zero guard.
+    /// True when the divide/remainder at `addr` was proved never to trap.
     #[inline]
     #[must_use]
     pub fn div_ok(&self, addr: u32) -> bool {
@@ -79,7 +77,7 @@ impl SiteFacts {
             .is_some_and(|w| w >> (addr % 64) & 1 != 0)
     }
 
-    /// True when the array access at `addr` may skip its bounds guard.
+    /// True when the array access at `addr` was proved never to trap.
     #[inline]
     #[must_use]
     pub fn idx_ok(&self, addr: u32) -> bool {

@@ -264,6 +264,9 @@ pub struct Dtb {
     last_miss: Option<MissKind>,
     /// DIR address displaced by the most recent fill, if any.
     last_evicted: Option<u32>,
+    /// Ways holding a line, kept in step with `tags` so
+    /// [`Dtb::occupancy`] is O(1) on the traced fill path.
+    occupied: usize,
 }
 
 /// Filler for unoccupied buffer words.
@@ -356,6 +359,7 @@ impl Dtb {
             classifier: None,
             last_miss: None,
             last_evicted: None,
+            occupied: 0,
         }
     }
 
@@ -392,7 +396,7 @@ impl Dtb {
 
     /// Resident translations.
     pub fn occupancy(&self) -> usize {
-        self.tags.iter().flatten().count()
+        self.occupied
     }
 
     fn set_range(&self, addr: u32) -> std::ops::Range<usize> {
@@ -480,7 +484,9 @@ impl Dtb {
             return None;
         }
         self.last_evicted = self.tags[way];
-        if self.tags[way].is_some() {
+        if self.tags[way].is_none() {
+            self.occupied += 1;
+        } else {
             self.stats.evictions += 1;
             // Free the victim's overflow chain.
             let chain = std::mem::take(&mut self.chains[way]);
@@ -572,7 +578,9 @@ impl Dtb {
     /// the caller retranslates and refills.
     pub fn invalidate(&mut self, handle: Handle) {
         let way = handle.0;
-        self.tags[way] = None;
+        if self.tags[way].take().is_some() {
+            self.occupied -= 1;
+        }
         self.lengths[way] = 0;
         self.sums[way] = 0;
         let chain = std::mem::take(&mut self.chains[way]);
@@ -823,6 +831,23 @@ mod tests {
         assert_eq!(dtb.occupancy(), 0);
         // The overflow chain was reclaimed: a long line fits again.
         assert!(dtb.fill(10, &words(6)).is_some());
+    }
+
+    #[test]
+    fn occupancy_tracks_fills_evictions_and_invalidations() {
+        let mut dtb = Dtb::new(DtbConfig::with_capacity(4));
+        let resident = |d: &Dtb| d.tags.iter().flatten().count();
+        let mut last = None;
+        for addr in 0..10 {
+            last = dtb.fill(addr, &words(2));
+            assert_eq!(dtb.occupancy(), resident(&dtb));
+        }
+        assert_eq!(dtb.occupancy(), 4);
+        let h = last.expect("a fixed-allocation fill always succeeds");
+        dtb.invalidate(h);
+        dtb.invalidate(h); // an already-empty way stays empty
+        assert_eq!(dtb.occupancy(), 3);
+        assert_eq!(dtb.occupancy(), resident(&dtb));
     }
 
     #[test]

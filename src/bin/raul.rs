@@ -1201,7 +1201,7 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
             );
             let total_cycles = plane.cycles().max(1) as f64;
             println!("by tier:");
-            for t in [Tier::Interp, Tier::Psder, Tier::Trusted] {
+            for t in [Tier::Interp, Tier::Psder] {
                 let a = plane.by_tier()[t.index()];
                 if a.retires == 0 {
                     continue;

@@ -1,15 +1,15 @@
-//! Elide-plane integration tests: per-site check elision driven by the
-//! dataflow pass's fact bitmap is observably identical to checked
-//! execution — outputs AND modeled metrics — across every encoding
-//! scheme and both decoder planes; the audit mode (guards still
-//! evaluated at elided sites) never sees a guard fire over the sample
-//! corpus; and an attached fault injector voids site facts exactly as
-//! it voids whole-image trust.
+//! Elide-plane integration tests: the dataflow pass's per-site fact
+//! bitmap is dynamically sound over the sample corpus — the auditor,
+//! which runs checked execution and reports every trap at a site the
+//! facts claim cannot trap, sees nothing fire — and the auditor does
+//! fire, at exactly the right kind and address, when a fact bit is
+//! planted on a site that really traps.
 
-use dir::encode::{DecodeMode, SchemeKind};
-use dir::exec::Limits;
-use std::sync::Arc;
-use uhm::{CostModel, DtbConfig, FaultConfig, Machine, Mode};
+use dir::encode::SchemeKind;
+use dir::exec::{Limits, Trap};
+use dir::facts::SiteFacts;
+use dir::isa::Inst;
+use dir::program::Program;
 
 fn sample_programs() -> Vec<(&'static str, dir::Program)> {
     hlr::programs::ALL
@@ -23,25 +23,19 @@ fn sample_programs() -> Vec<(&'static str, dir::Program)> {
         .collect()
 }
 
-/// Per-site elision at the DIR and PSDER levels is bit-identical to
-/// checked execution, outputs and stats, for every sample and scheme.
-#[test]
-fn sited_level_engines_are_bit_identical() {
-    for (name, program) in sample_programs() {
-        for scheme in SchemeKind::all() {
-            let verified = analyze::verify(&program, scheme.encode(&program))
-                .unwrap_or_else(|r| panic!("{name} verifies under {scheme}:\n{}", r.render()));
-            let facts = verified.facts();
-            let checked = dir::exec::run_with(&program, Limits::default(), false);
-            let sited = dir::exec::run_sited_with(&program, facts, Limits::default(), false);
-            assert_eq!(sited, checked, "{name} under {scheme}: dir sited");
-            assert_eq!(
-                psder::interp::run_sited_with(&program, facts, psder::interp::Limits::default()),
-                psder::interp::run(&program),
-                "{name} under {scheme}: psder sited"
-            );
-        }
-    }
+fn compile(src: &str) -> Program {
+    dir::compiler::compile(&hlr::compile(src).expect("source compiles"))
+}
+
+/// Every address in `program` whose instruction satisfies `pred`.
+fn sites(program: &Program, pred: impl Fn(Inst) -> bool) -> Vec<u32> {
+    (0..program.code.len() as u32)
+        .filter(|&pc| pred(program.code[pc as usize]))
+        .collect()
+}
+
+fn is_divide(inst: Inst) -> bool {
+    matches!(inst, Inst::Bin(op) if op.traps_on_zero())
 }
 
 /// Audit mode evaluates the guard at every elided site: no guard fires
@@ -60,78 +54,84 @@ fn audit_mode_finds_no_unsound_site() {
             "{name}: elided guards fired: {verdict:?}"
         );
         assert_eq!(audited, checked, "{name}: dir audit");
-        let (audited, fired) =
-            psder::interp::run_audit_with(&program, facts, psder::interp::Limits::default());
-        assert_eq!(fired, 0, "{name}: psder elided guards fired");
-        assert_eq!(audited, psder::interp::run(&program), "{name}: psder audit");
     }
 }
 
-/// A machine consulting the fact bitmap per retired instruction matches
-/// a plain checked machine in output and every modeled metric, across
-/// all six schemes, both decoders and every machine mode.
+/// A hand-planted `div_ok` bit on a divide by zero is reported as one
+/// divisor violation at that address, and the audited run still ends in
+/// the checked run's trap.
 #[test]
-fn sited_machine_is_observably_identical() {
-    for (name, program) in sample_programs() {
-        for scheme in SchemeKind::all() {
-            let verified =
-                analyze::verify(&program, scheme.encode(&program)).expect("corpus verifies clean");
-            let facts = Arc::new(verified.facts().clone());
-            for decoder in [DecodeMode::Tree, DecodeMode::Table] {
-                let mut sited = Machine::new(&program, scheme);
-                sited
-                    .set_decoder(decoder)
-                    .set_site_facts(Some(Arc::clone(&facts)));
-                let mut plain = Machine::new(&program, scheme);
-                plain.set_decoder(decoder);
-                for mode in [Mode::Interpreter, Mode::Dtb(DtbConfig::with_capacity(64))] {
-                    let a = sited.run(&mode).unwrap();
-                    let b = plain.run(&mode).unwrap();
-                    assert_eq!(a.output, b.output, "{name} {scheme} {decoder:?} {mode:?}");
-                    assert_eq!(a.metrics, b.metrics, "{name} {scheme} {decoder:?} {mode:?}");
-                }
-            }
-        }
-    }
-}
-
-/// An attached fault injector voids site facts exactly as it voids
-/// whole-image trust: under an identical seeded fault plan — inert or
-/// aggressive DIR corruption — a machine carrying the fact bitmap is
-/// bit-identical (output, metrics, fault totals, recoveries, traps) to
-/// a machine with no facts at all.
-#[test]
-fn faults_void_site_facts_like_trusted() {
-    let limits = uhm::Limits {
-        max_steps: 2_000_000,
-        ..uhm::Limits::default()
+fn audit_reports_a_planted_div_fact() {
+    let program = compile("proc main() begin write 1 / 0; end");
+    let [pc] = sites(&program, is_divide)[..] else {
+        panic!("one divide in {:?}", program.code)
     };
-    let plans = [
-        FaultConfig::inert(7),
-        FaultConfig::only(0xE11D, telemetry::FaultKind::DirBit, 1e-3),
-        FaultConfig::only(0xE11D, telemetry::FaultKind::DtbWord, 1e-2),
-    ];
-    for (name, program) in sample_programs() {
-        let verified = analyze::verify(&program, SchemeKind::Huffman.encode(&program))
-            .expect("corpus verifies clean");
-        let facts = Arc::new(verified.facts().clone());
-        for plan in &plans {
-            let mut sited =
-                Machine::with(&program, SchemeKind::Huffman, CostModel::default(), limits);
-            sited.set_site_facts(Some(Arc::clone(&facts)));
-            sited.set_faults(Some(*plan));
-            let mut plain =
-                Machine::with(&program, SchemeKind::Huffman, CostModel::default(), limits);
-            plain.set_faults(Some(*plan));
-            let mode = Mode::Dtb(DtbConfig::with_capacity(64));
-            match (sited.run(&mode), plain.run(&mode)) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.output, b.output, "{name} under {plan:?}");
-                    assert_eq!(a.metrics, b.metrics, "{name} under {plan:?}");
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b, "{name} under {plan:?}"),
-                (a, b) => panic!("{name} under {plan:?}: sited {a:?} vs plain {b:?}"),
-            }
-        }
+    let mut facts = SiteFacts::empty(program.code.len() as u32);
+    facts.set_div_ok(pc);
+    let checked = dir::exec::run_with(&program, Limits::default(), false);
+    assert_eq!(checked, Err(Trap::DivByZero));
+    let (audited, verdict) = dir::exec::run_audit_with(&program, &facts, Limits::default(), false);
+    assert_eq!(audited, checked);
+    assert!(!verdict.is_sound());
+    assert_eq!(verdict.div_violations, 1);
+    assert_eq!(verdict.idx_violations, 0);
+    assert_eq!(verdict.sites, vec![pc]);
+}
+
+/// A hand-planted `idx_ok` bit on an out-of-bounds load is reported as
+/// one index violation at that address, and the audited run still ends
+/// in the checked run's trap.
+#[test]
+fn audit_reports_a_planted_idx_fact() {
+    let program = compile("proc main() begin int a[3]; write a[3]; end");
+    let [pc] = sites(&program, |i| matches!(i, Inst::LoadArrLocal { .. }))[..] else {
+        panic!("one array load in {:?}", program.code)
+    };
+    let mut facts = SiteFacts::empty(program.code.len() as u32);
+    facts.set_idx_ok(pc);
+    let checked = dir::exec::run_with(&program, Limits::default(), false);
+    assert_eq!(checked, Err(Trap::IndexOutOfBounds { index: 3, len: 3 }));
+    let (audited, verdict) = dir::exec::run_audit_with(&program, &facts, Limits::default(), false);
+    assert_eq!(audited, checked);
+    assert!(!verdict.is_sound());
+    assert_eq!(verdict.div_violations, 0);
+    assert_eq!(verdict.idx_violations, 1);
+    assert_eq!(verdict.sites, vec![pc]);
+}
+
+/// Fact bits on every address of a program whose guards never fire —
+/// divides by nonzero, in-bounds indexing — leave the audit sound, and
+/// so do bits on the non-trapping sites of a program that traps
+/// elsewhere.
+#[test]
+fn audit_ignores_planted_facts_that_never_fire() {
+    let quiet = compile(
+        "proc main() begin int a[3]; int i;
+            for i := 0 to 2 do a[i] := 12 / (i + 1);
+            write a[2] % 5;
+        end",
+    );
+    let len = quiet.code.len() as u32;
+    let mut facts = SiteFacts::empty(len);
+    for pc in 0..len {
+        facts.set_div_ok(pc);
+        facts.set_idx_ok(pc);
     }
+    let checked = dir::exec::run_with(&quiet, Limits::default(), false);
+    assert_eq!(checked.as_ref().map(|(out, _)| out.clone()), Ok(vec![4]));
+    let (audited, verdict) = dir::exec::run_audit_with(&quiet, &facts, Limits::default(), false);
+    assert!(verdict.is_sound(), "{verdict:?}");
+    assert_eq!(audited, checked);
+
+    let trapping = compile("proc main() begin int x; x := 6; write x / 3; write 1 / 0; end");
+    let [quiet_div, _] = sites(&trapping, is_divide)[..] else {
+        panic!("two divides in {:?}", trapping.code)
+    };
+    let mut facts = SiteFacts::empty(trapping.code.len() as u32);
+    facts.set_div_ok(quiet_div);
+    let checked = dir::exec::run_with(&trapping, Limits::default(), false);
+    assert_eq!(checked, Err(Trap::DivByZero));
+    let (audited, verdict) = dir::exec::run_audit_with(&trapping, &facts, Limits::default(), false);
+    assert!(verdict.is_sound(), "{verdict:?}");
+    assert_eq!(audited, checked);
 }
